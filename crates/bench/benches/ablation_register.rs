@@ -1,7 +1,7 @@
 //! Ablation: what a query registration costs under each strategy.
 //!
-//! Fixes a term-filtered shadow engine (the shard-side configuration, where
-//! registration must bring newly-live terms up from the shared window) over
+//! Fixes an [`ItaEngine`] (whose term-filtered index means registration
+//! must bring newly-live terms up from the stored window) over
 //! a filled count-based window and prices the three registration protocols
 //! of DESIGN.md §9 against each other:
 //!
@@ -83,10 +83,9 @@ fn build_queries(point: &Point) -> Vec<ContinuousQuery> {
         .collect()
 }
 
-/// A term-filtered engine with a freshly filled window (untimed setup).
+/// An engine with a freshly filled window (untimed setup).
 fn filled_engine(point: &Point, config: ItaConfig) -> ItaEngine {
-    let mut engine =
-        ItaEngine::term_filtered(SlidingWindow::count_based(point.window_docs), config);
+    let mut engine = ItaEngine::new(SlidingWindow::count_based(point.window_docs), config);
     let mut stream = DocumentStream::new(
         point.corpus,
         StreamConfig {
@@ -135,7 +134,7 @@ fn bench_registration_strategies(c: &mut Criterion) {
         let postings_before = engine.register_postings_touched();
         c.bench_function(
             &format!(
-                "ita_term_filtered/register/q{}w{}/{label}",
+                "ita/register/q{}w{}/{label}",
                 point.num_queries, point.window_docs
             ),
             |b| {
@@ -158,7 +157,7 @@ fn bench_registration_strategies(c: &mut Criterion) {
             let per_workload = register_time.as_secs_f64() / iterations as f64;
             let filed = engine.register_postings_touched() - postings_before;
             eprintln!(
-                "ita_term_filtered/register/{label}: {:.3} s per {}-query workload \
+                "ita/register/{label}: {:.3} s per {}-query workload \
                  ({:.1} µs/query, {} postings filed across {iterations} iteration(s))",
                 per_workload,
                 point.num_queries,

@@ -145,8 +145,8 @@ pub struct CellReport {
     pub results_changed: u64,
     /// Full view recomputations (naïve engine only).
     pub recomputations: Option<u64>,
-    /// Total impact entries in the inverted index (ITA: the full index;
-    /// sharded ITA: summed across the term-filtered shadow indexes).
+    /// Total impact entries in the inverted index (ITA: its term-filtered
+    /// index; sharded ITA: summed across the per-shard shadow indexes).
     pub index_postings: Option<usize>,
     /// Worker shards (sharded-ITA arm only).
     pub shards: Option<usize>,

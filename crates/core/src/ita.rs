@@ -64,12 +64,11 @@ pub struct ItaConfig {
     /// leaves the algorithm correct but lets result sets grow monotonically
     /// between expirations — the ablation measured by `ablation_rollup`.
     pub enable_rollup: bool,
-    /// Whether a term-filtered engine admits newly-live terms **lazily**:
-    /// registration and migration mark them cold in the shadow index and the
+    /// Whether newly-live terms are admitted **lazily**: registration and
+    /// migration mark them cold in the term-filtered index and the
     /// full-window backfill runs only when a threshold search or roll-up
     /// first probes the list (DESIGN.md §9). Disabling restores the eager
-    /// backfill-on-register path — the `ablation_register` foil. Unfiltered
-    /// engines ignore the knob (their lists are always maintained).
+    /// backfill-on-register path — the `ablation_register` foil.
     pub lazy_registration: bool,
 }
 
@@ -104,9 +103,8 @@ pub struct ItaQueryStats {
 }
 
 /// Reference counts over the terms the engine's registered queries use, kept
-/// dense by term id (interned small integers). Present only on term-filtered
-/// engines — the shards of `ShardedItaEngine` — where it decides which
-/// composition entries are filed into the (shadow) inverted index.
+/// dense by term id (interned small integers). Decides which composition
+/// entries are filed into the engine's term-filtered inverted index.
 #[derive(Debug, Clone, Default)]
 struct TermRefCounts {
     counts: Vec<u32>,
@@ -199,15 +197,22 @@ pub struct ItaEngine {
     /// Reused per-event buffer for the affected-query probe; kept on the
     /// engine so steady-state event processing allocates nothing.
     scratch: Vec<QueryId>,
-    /// `Some` on term-filtered engines (shards): the index files postings
-    /// only for terms referenced by at least one registered query.
-    term_filter: Option<TermRefCounts>,
+    /// The index files postings only for terms referenced by at least one
+    /// registered query.
+    term_filter: TermRefCounts,
     next_query: u32,
     clock: Timestamp,
 }
 
 impl ItaEngine {
-    /// Creates an engine with the given sliding-window policy.
+    /// Creates an engine with the given sliding-window policy. The inverted
+    /// index is **term-filtered**: it files postings only for terms
+    /// referenced by at least one registered query (registration backfills a
+    /// new term's list from the stored window; deregistration retires lists
+    /// whose last referencing query left). Every list a query's threshold
+    /// search, roll-up or probe can touch is complete, while index
+    /// maintenance skips the (large) majority of composition terms no query
+    /// watches.
     pub fn new(window: SlidingWindow, config: ItaConfig) -> Self {
         Self {
             window,
@@ -216,31 +221,10 @@ impl ItaEngine {
             trees: TermArena::new(),
             queries: QuerySlab::new(),
             scratch: Vec::new(),
-            term_filter: None,
+            term_filter: TermRefCounts::default(),
             next_query: 0,
             clock: Timestamp::ZERO,
         }
-    }
-
-    /// Creates a **term-filtered** engine: the inverted index files postings
-    /// only for terms referenced by at least one registered query
-    /// (registration backfills a new term's list from the stored window;
-    /// deregistration retires lists whose last referencing query left). For
-    /// its registered queries it is exactly equivalent to an unfiltered
-    /// engine — every list a query's threshold search, roll-up or probe can
-    /// touch is complete — while skipping index maintenance for the (large)
-    /// majority of composition terms no query watches. This is the shard
-    /// configuration of [`crate::ShardedItaEngine`].
-    pub fn term_filtered(window: SlidingWindow, config: ItaConfig) -> Self {
-        Self {
-            term_filter: Some(TermRefCounts::default()),
-            ..Self::new(window, config)
-        }
-    }
-
-    /// Whether this engine maintains a term-filtered (shadow) index.
-    pub fn is_term_filtered(&self) -> bool {
-        self.term_filter.is_some()
     }
 
     /// The engine's configuration.
@@ -276,15 +260,13 @@ impl ItaEngine {
 
     /// Impact entries filed by the registration-path backfills of this
     /// engine's index so far — the registration-cost regression counter (see
-    /// [`cts_index::InvertedIndex::register_postings_touched`]). Always 0 on
-    /// unfiltered engines.
+    /// [`cts_index::InvertedIndex::register_postings_touched`]).
     pub fn register_postings_touched(&self) -> u64 {
         self.index.register_postings_touched()
     }
 
-    /// Number of shadow-index terms currently cold (live in the term filter
-    /// but not yet materialised). Always 0 on unfiltered engines and under
-    /// eager registration.
+    /// Number of index terms currently cold (live in the term filter but not
+    /// yet materialised). Always 0 under eager registration.
     pub fn num_cold_terms(&self) -> usize {
         self.index.num_cold()
     }
@@ -310,8 +292,8 @@ impl ItaEngine {
 
     /// Materialises any still-cold terms of `qid` before its lists are
     /// probed — the whole batch of cold terms in one store pass. The
-    /// `num_cold` fast path keeps this a single branch on engines with no
-    /// cold terms (unfiltered engines, and filtered ones in steady state).
+    /// `num_cold` fast path keeps this a single branch in steady state, when
+    /// no term is cold.
     fn ensure_query_terms_warm(&mut self, qid: QueryId) {
         if self.index.num_cold() == 0 {
             return;
@@ -584,14 +566,12 @@ impl ItaEngine {
     ///
     /// Panics if `qid` is already registered.
     pub fn register_with_id(&mut self, qid: QueryId, query: ContinuousQuery) {
-        if let Some(filter) = &mut self.term_filter {
-            let newly_live: Vec<TermId> = query
-                .terms()
-                .filter(|(term, _)| filter.acquire(*term))
-                .map(|(term, _)| term)
-                .collect();
-            self.admit_newly_live(newly_live);
-        }
+        let newly_live: Vec<TermId> = query
+            .terms()
+            .filter(|(term, _)| self.term_filter.acquire(*term))
+            .map(|(term, _)| term)
+            .collect();
+        self.admit_newly_live(newly_live);
         self.finish_register(qid, query);
     }
 
@@ -609,33 +589,31 @@ impl ItaEngine {
     ///
     /// Panics if any id is already registered.
     pub fn register_batch_with_ids(&mut self, batch: Vec<(QueryId, ContinuousQuery)>) {
-        if let Some(filter) = &mut self.term_filter {
-            // `acquire` returns true exactly once per distinct term across
-            // the whole batch, so `newly_live` is duplicate-free.
-            let mut newly_live: Vec<TermId> = Vec::new();
-            for (_, query) in &batch {
-                newly_live.extend(
-                    query
-                        .terms()
-                        .filter(|(term, _)| filter.acquire(*term))
-                        .map(|(term, _)| term),
-                );
-            }
-            // Eager on purpose, even under lazy registration: the threshold
-            // searches below probe every one of these lists immediately, so
-            // cold marks would only re-discover them one query at a time.
-            if !newly_live.is_empty() {
-                self.index.backfill_terms(&newly_live);
-            }
+        // `acquire` returns true exactly once per distinct term across the
+        // whole batch, so `newly_live` is duplicate-free.
+        let mut newly_live: Vec<TermId> = Vec::new();
+        for (_, query) in &batch {
+            newly_live.extend(
+                query
+                    .terms()
+                    .filter(|(term, _)| self.term_filter.acquire(*term))
+                    .map(|(term, _)| term),
+            );
+        }
+        // Eager on purpose, even under lazy registration: the threshold
+        // searches below probe every one of these lists immediately, so cold
+        // marks would only re-discover them one query at a time.
+        if !newly_live.is_empty() {
+            self.index.backfill_terms(&newly_live);
         }
         for (qid, query) in batch {
             self.finish_register(qid, query);
         }
     }
 
-    /// Brings newly-live shadow terms in: cold marks under lazy registration
-    /// (the backfill runs at first probe), an immediate one-pass backfill
-    /// otherwise.
+    /// Brings newly-live terms into the index: cold marks under lazy
+    /// registration (the backfill runs at first probe), an immediate one-pass
+    /// backfill otherwise.
     fn admit_newly_live(&mut self, newly_live: Vec<TermId>) {
         if newly_live.is_empty() {
             return;
@@ -649,8 +627,8 @@ impl ItaEngine {
         }
     }
 
-    /// The filter-independent tail of registration: record the query state
-    /// and run its initial threshold search.
+    /// The shared tail of registration: record the query state and run its
+    /// initial threshold search.
     fn finish_register(&mut self, qid: QueryId, query: ContinuousQuery) {
         self.next_query = self.next_query.max(qid.0.saturating_add(1));
         let thresholds = query
@@ -678,9 +656,9 @@ impl ItaEngine {
     /// returning the [`QueryMigration`] package an [`ItaEngine::install_query`]
     /// call on another engine (over the same window contents) consumes. The
     /// engine-side teardown is exactly [`Engine::deregister`]'s: threshold-tree
-    /// entries are removed (empty trees retired) and, on a term-filtered
-    /// engine, term references are released (last-reference lists dropped).
-    /// Returns `None` if the query is not registered.
+    /// entries are removed (empty trees retired) and term references are
+    /// released (last-reference lists dropped). Returns `None` if the query
+    /// is not registered.
     pub fn extract_query(&mut self, query: QueryId) -> Option<QueryMigration> {
         let state = self.queries.remove(query)?;
         for (term, theta) in &state.thresholds {
@@ -690,10 +668,8 @@ impl ItaEngine {
                     self.trees.remove(*term);
                 }
             }
-            if let Some(filter) = &mut self.term_filter {
-                if filter.release(*term) {
-                    self.index.drop_list(*term);
-                }
+            if self.term_filter.release(*term) {
+                self.index.drop_list(*term);
             }
         }
         Some(QueryMigration { state })
@@ -703,10 +679,9 @@ impl ItaEngine {
     /// engine whose valid-document window matches this one's (the sharded
     /// engine's shards all mirror the same window, so any shard pair
     /// qualifies). The migrated thresholds are filed into the threshold trees
-    /// verbatim and, on a term-filtered engine, newly-live terms are admitted
-    /// to the shadow index (cold under lazy registration, backfilled eagerly
-    /// otherwise) — after which this engine maintains the query
-    /// byte-identically to the one it left.
+    /// verbatim and newly-live terms are admitted to the index (cold under
+    /// lazy registration, backfilled eagerly otherwise) — after which this
+    /// engine maintains the query byte-identically to the one it left.
     ///
     /// # Panics
     ///
@@ -714,18 +689,16 @@ impl ItaEngine {
     pub fn install_query(&mut self, qid: QueryId, migration: QueryMigration) {
         self.next_query = self.next_query.max(qid.0.saturating_add(1));
         let QueryMigration { state } = migration;
-        if let Some(filter) = &mut self.term_filter {
-            // Under lazy registration the newly-live terms only go cold here:
-            // installation runs no threshold search, so a migration costs no
-            // window scan at all until (unless) the query is next probed.
-            let newly_live: Vec<TermId> = state
-                .thresholds
-                .iter()
-                .filter(|(term, _)| filter.acquire(*term))
-                .map(|(term, _)| *term)
-                .collect();
-            self.admit_newly_live(newly_live);
-        }
+        // Under lazy registration the newly-live terms only go cold here:
+        // installation runs no threshold search, so a migration costs no
+        // window scan at all until (unless) the query is next probed.
+        let newly_live: Vec<TermId> = state
+            .thresholds
+            .iter()
+            .filter(|(term, _)| self.term_filter.acquire(*term))
+            .map(|(term, _)| *term)
+            .collect();
+        self.admit_newly_live(newly_live);
         for (term, theta) in &state.thresholds {
             self.trees.get_or_default(*term).insert(qid, *theta);
         }
@@ -745,12 +718,8 @@ impl ItaEngine {
             ..EventOutcome::default()
         };
 
-        match &self.term_filter {
-            Some(filter) => self
-                .index
-                .insert_shared_filtered(Arc::clone(&doc), |term| filter.contains(term)),
-            None => self.index.insert_shared(Arc::clone(&doc)),
-        }
+        self.index
+            .insert_shared_filtered(Arc::clone(&doc), |term| self.term_filter.contains(term));
         let (touched, changed) = self.handle_arrival(&doc);
         outcome.queries_touched_by_arrival = touched;
         outcome.results_changed += changed;
@@ -774,11 +743,11 @@ impl ItaEngine {
     /// description on violation (DESIGN.md §11): the inverted index's own
     /// invariants, every threshold tree's strict ordering, two-way agreement
     /// between tree entries and the live queries' recorded local thresholds,
-    /// result sets referencing only valid (windowed) documents, and — on
-    /// term-filtered engines — term refcounts equal to the number of live
-    /// referencing queries, with every cold term still referenced. Driven by
-    /// the testkit lockstep runner when the `invariant-checks` feature (or a
-    /// unit-test build) is active; far too expensive for production paths.
+    /// result sets referencing only valid (windowed) documents, and term
+    /// refcounts equal to the number of live referencing queries, with every
+    /// cold term still referenced. Driven by the testkit lockstep runner when
+    /// the `invariant-checks` feature (or a unit-test build) is active; far
+    /// too expensive for production paths.
     pub fn check_invariants(&self) {
         self.index.check_invariants();
         for (term, tree) in self.trees.iter() {
@@ -831,23 +800,22 @@ impl ItaEngine {
                 );
             }
         }
-        if let Some(filter) = &self.term_filter {
-            for slot in 0..live_refs.len().max(filter.counts.len()) {
-                let counted = filter.counts.get(slot).copied().unwrap_or(0);
-                let live = live_refs.get(slot).copied().unwrap_or(0);
-                assert_eq!(
-                    counted,
-                    live,
-                    "term {} refcount {counted} disagrees with {live} live referencing queries",
-                    TermId(slot as u32)
-                );
-            }
-            for term in self.index.cold_terms() {
-                assert!(
-                    filter.contains(term),
-                    "{term} is cold in the shadow index but no live query references it"
-                );
-            }
+        let filter = &self.term_filter;
+        for slot in 0..live_refs.len().max(filter.counts.len()) {
+            let counted = filter.counts.get(slot).copied().unwrap_or(0);
+            let live = live_refs.get(slot).copied().unwrap_or(0);
+            assert_eq!(
+                counted,
+                live,
+                "term {} refcount {counted} disagrees with {live} live referencing queries",
+                TermId(slot as u32)
+            );
+        }
+        for term in self.index.cold_terms() {
+            assert!(
+                filter.contains(term),
+                "{term} is cold in the index but no live query references it"
+            );
         }
     }
 }
@@ -1158,55 +1126,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn term_filtered_engine_matches_unfiltered_through_churn() {
-        let mut full = engine(12);
-        let mut filtered =
-            ItaEngine::term_filtered(SlidingWindow::count_based(12), ItaConfig::default());
-        assert!(filtered.is_term_filtered() && !full.is_term_filtered());
-        let q1 = ContinuousQuery::from_weights([(TermId(0), 0.7), (TermId(1), 0.3)], 3);
-        let q2 = ContinuousQuery::from_weights([(TermId(2), 1.0)], 2);
-        let feed = |full: &mut ItaEngine, filtered: &mut ItaEngine, lo: u64, hi: u64| {
-            for i in lo..hi {
-                let d = doc(
-                    i,
-                    &[
-                        ((i % 5) as u32, 0.1 + (i % 7) as f64 * 0.07),
-                        (5 + (i % 3) as u32, 0.2 + (i % 4) as f64 * 0.05),
-                    ],
+    /// Feeds `events` to `e` and `oracle`, checking after each one
+    /// that every live query's results equal the oracle's and that the index
+    /// holds exactly one posting per (window document, live query term).
+    fn feed_against_oracle(
+        e: &mut ItaEngine,
+        oracle: &mut crate::BruteForceOracle,
+        live: &[(QueryId, ContinuousQuery)],
+        events: std::ops::Range<u64>,
+    ) {
+        for i in events {
+            let d = doc(
+                i,
+                &[
+                    ((i % 5) as u32, 0.1 + (i % 7) as f64 * 0.07),
+                    (5 + (i % 3) as u32, 0.2 + (i % 4) as f64 * 0.05),
+                ],
+            );
+            e.process_document(d.clone());
+            oracle.process_document(d);
+            for (qid, _) in live {
+                assert_eq!(
+                    e.current_results(*qid),
+                    oracle.current_results(*qid),
+                    "{qid} diverged from the oracle at event {i}"
                 );
-                let a = full.process_document(d.clone());
-                let b = filtered.process_document(d);
-                assert_eq!(a, b, "outcomes diverged at event {i}");
             }
-        };
-        // Pre-registration traffic: the filtered index files nothing.
-        feed(&mut full, &mut filtered, 0, 30);
-        assert_eq!(filtered.index_stats().postings, 0);
-        assert!(full.index_stats().postings > 0);
+            let live_postings = e
+                .store_documents()
+                .flat_map(|d| d.composition.iter())
+                .filter(|entry| live.iter().any(|(_, q)| q.weights().contains(entry.term)))
+                .count();
+            let stats = e.index_stats();
+            assert_eq!(stats.postings, live_postings, "event {i}");
+            assert_eq!(stats.documents, oracle.num_valid_documents());
+        }
+    }
+
+    #[test]
+    fn term_filtered_index_tracks_live_query_terms_through_churn() {
+        let window = SlidingWindow::count_based(12);
+        let mut e = ItaEngine::new(window, ItaConfig::default());
+        let mut oracle = crate::BruteForceOracle::new(window);
+        let mut live = Vec::new();
+        // Pre-registration traffic files nothing.
+        feed_against_oracle(&mut e, &mut oracle, &live, 0..30);
+        assert_eq!(e.index_stats().postings, 0);
         // Late registration must backfill the window it never indexed.
-        let a1 = full.register(q1.clone());
-        let b1 = filtered.register(q1);
-        assert_eq!(a1, b1);
-        assert_eq!(full.query_stats(a1), filtered.query_stats(b1));
-        feed(&mut full, &mut filtered, 30, 60);
-        assert_eq!(full.current_results(a1), filtered.current_results(b1));
+        let q1 = ContinuousQuery::from_weights([(TermId(0), 0.7), (TermId(1), 0.3)], 3);
+        let a1 = e.register(q1.clone());
+        assert_eq!(oracle.register(q1.clone()), a1);
+        live.push((a1, q1));
+        feed_against_oracle(&mut e, &mut oracle, &live, 30..60);
         // A second query brings a new term live mid-stream...
-        let a2 = full.register(q2.clone());
-        let b2 = filtered.register(q2);
-        feed(&mut full, &mut filtered, 60, 90);
-        assert_eq!(full.current_results(a2), filtered.current_results(b2));
+        let q2 = ContinuousQuery::from_weights([(TermId(2), 1.0)], 2);
+        let a2 = e.register(q2.clone());
+        assert_eq!(oracle.register(q2.clone()), a2);
+        live.push((a2, q2));
+        feed_against_oracle(&mut e, &mut oracle, &live, 60..90);
         // ...and deregistering the first retires its last-reference lists.
-        assert!(full.deregister(a1) && filtered.deregister(b1));
-        feed(&mut full, &mut filtered, 90, 120);
-        assert_eq!(full.current_results(a2), filtered.current_results(b2));
-        assert_eq!(full.query_stats(a2), filtered.query_stats(b2));
-        // The shadow maintains strictly fewer postings than the full index.
-        assert!(filtered.index_stats().postings < full.index_stats().postings);
-        assert_eq!(
-            filtered.index_stats().documents,
-            full.index_stats().documents
-        );
+        assert!(e.deregister(a1) && oracle.deregister(a1));
+        live.remove(0);
+        feed_against_oracle(&mut e, &mut oracle, &live, 90..120);
+        assert!(e.index_stats().postings > 0);
     }
 
     #[test]
@@ -1217,9 +1199,9 @@ mod tests {
         // counters, thresholds, event outcomes — exactly as if the query had
         // lived on the destination all along (modelled by `stayed`).
         let window = SlidingWindow::count_based(15);
-        let mut source = ItaEngine::term_filtered(window, ItaConfig::default());
-        let mut destination = ItaEngine::term_filtered(window, ItaConfig::default());
-        let mut stayed = ItaEngine::term_filtered(window, ItaConfig::default());
+        let mut source = ItaEngine::new(window, ItaConfig::default());
+        let mut destination = ItaEngine::new(window, ItaConfig::default());
+        let mut stayed = ItaEngine::new(window, ItaConfig::default());
         let q = ContinuousQuery::from_weights([(TermId(1), 0.7), (TermId(2), 0.3)], 3);
         let qid = source.register(q.clone());
         assert_eq!(stayed.register(q), qid);
@@ -1244,7 +1226,7 @@ mod tests {
         // The extracted package names the terms the destination must cover.
         let terms: Vec<u32> = migration.terms().map(|t| t.0).collect();
         assert_eq!(terms, vec![1, 2]);
-        // The source dropped its now-unreferenced shadow lists.
+        // The source dropped its now-unreferenced lists.
         assert_eq!(source.index_stats().postings, 0);
         destination.install_query(qid, migration);
         assert_eq!(destination.num_queries(), 1);
@@ -1389,7 +1371,7 @@ mod tests {
     /// `term` among `filler` documents that do not.
     fn filtered_window(term: u32, hits: u64, filler: u64) -> ItaEngine {
         let total = hits + filler;
-        let mut e = ItaEngine::term_filtered(
+        let mut e = ItaEngine::new(
             SlidingWindow::count_based(total as usize + 1),
             ItaConfig::default(),
         );
@@ -1495,7 +1477,7 @@ mod tests {
             lazy_registration: false,
             ..ItaConfig::default()
         };
-        let mut source = ItaEngine::term_filtered(SlidingWindow::count_based(100), eager);
+        let mut source = ItaEngine::new(SlidingWindow::count_based(100), eager);
         for i in 0..40u64 {
             if i % 7 == 0 {
                 source.process_document(doc(i, &[(7, 0.3)]));
@@ -1505,7 +1487,7 @@ mod tests {
         }
         let q = source.register(ContinuousQuery::from_weights([(TermId(7), 1.0)], 2));
         let migration = source.extract_query(q).expect("query is live");
-        let mut target = ItaEngine::term_filtered(SlidingWindow::count_based(100), eager);
+        let mut target = ItaEngine::new(SlidingWindow::count_based(100), eager);
         for i in 0..40u64 {
             if i % 7 == 0 {
                 target.process_document(doc(i, &[(7, 0.3)]));

@@ -3,7 +3,7 @@
 //! This crate implements the contribution of the ICDE 2009 paper
 //! *"An Incremental Threshold Method for Continuous Text Search Queries"*
 //! (Mouratidis & Pang): the **Incremental Threshold Algorithm (ITA)**, plus
-//! the baselines it is evaluated against and a monitoring-server façade.
+//! the baselines it is evaluated against and the front-ends that serve it.
 //!
 //! * [`ContinuousQuery`] — a registered query: weighted search terms and `k`.
 //! * [`ItaEngine`] — the paper's algorithm. Maintains, per query, a result
@@ -18,8 +18,10 @@
 //!   paper's §IV).
 //! * [`BruteForceOracle`] — an exhaustive re-evaluator used by the test suite
 //!   to validate both engines.
-//! * [`Monitor`] / [`MonitoringServer`] — event-loop wrappers that time every
-//!   stream event (the paper's "processing time" metric) and expose results.
+//! * [`Monitor`] — the event-loop wrapper that times every stream event (the
+//!   paper's "processing time" metric) and exposes results.
+//! * [`StreamService`] — the overload-robust front-end: a bounded ingest
+//!   queue with explicit admission control around a [`Monitor`].
 //!
 //! # Quick example
 //!
@@ -56,7 +58,6 @@ pub mod naive;
 pub mod oracle;
 pub mod query;
 pub mod result;
-pub mod server;
 pub mod service;
 pub mod sharded;
 pub mod slab;
@@ -74,7 +75,6 @@ pub use naive::{NaiveConfig, NaiveEngine};
 pub use oracle::BruteForceOracle;
 pub use query::ContinuousQuery;
 pub use result::ResultSet;
-pub use server::MonitoringServer;
 pub use service::{Admission, DrainReport, ServiceConfig, ShedReason, StreamService};
 pub use sharded::{RebalanceConfig, ShardedItaEngine};
 pub use slab::QuerySlab;

@@ -560,6 +560,8 @@ mod tests {
         assert_eq!(m.stats().events, 1);
         m.reset_stats();
         assert_eq!(m.stats(), &ProcessingStats::default());
+        // Only the timing ledger resets; the engine keeps its window.
+        assert_eq!(m.num_valid_documents(), 1);
     }
 
     #[test]

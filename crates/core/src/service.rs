@@ -2,7 +2,7 @@
 //! explicit admission control, deadline-aware load shedding and burst
 //! coalescing around any [`Engine`].
 //!
-//! [`crate::MonitoringServer`] assumes a polite caller that feeds events no
+//! A bare [`crate::Monitor`] assumes a polite caller that feeds events no
 //! faster than the engine drains them. [`StreamService`] drops that
 //! assumption: it sits between an abusive stream source and the engine,
 //! admits events into a **bounded queue** ([`ServiceConfig::queue_capacity`])

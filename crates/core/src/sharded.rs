@@ -311,7 +311,7 @@ impl ShardWorker {
         config: ItaConfig,
         checkpoint_interval: usize,
     ) -> Self {
-        let engine = ItaEngine::term_filtered(window, config);
+        let engine = ItaEngine::new(window, config);
         // Checkpointing the empty engine up front means warm recovery is
         // available from the very first mutation.
         let checkpoint = (checkpoint_interval > 0).then(|| Box::new(engine.clone()));
@@ -585,7 +585,7 @@ impl ShardWorker {
                 // The mirror holds only currently-valid documents, so the
                 // replay triggers no expirations; no injection check and no
                 // stats recording — recovery work is not stream work.
-                let mut engine = ItaEngine::term_filtered(self.window, self.config);
+                let mut engine = ItaEngine::new(self.window, self.config);
                 engine.register_batch_with_ids(queries);
                 for doc in window_docs {
                     engine.process_shared(doc);

@@ -14,7 +14,7 @@
 //!   and results must match element for element.
 
 use cts_core::testkit::{assert_script_equivalence, generate_script, Op, ScriptConfig};
-use cts_core::{Engine, EventOutcome, ItaConfig, ItaEngine, MonitoringServer, ShardedItaEngine};
+use cts_core::{Engine, EventOutcome, ItaConfig, ItaEngine, Monitor, ShardedItaEngine};
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
 use cts_text::{TermId, WeightedVector};
 
@@ -162,14 +162,14 @@ fn sharded_batches_equal_sharded_singles_on_the_same_stream() {
     }
 }
 
-/// A deterministic deregister-between-batches scenario, driven through the
-/// full [`MonitoringServer`] plumbing so `feed_batch` and the batch stats
-/// path are covered end to end.
+/// A deterministic deregister-between-batches scenario, driven through
+/// [`Monitor`] so its `process_batch` timing and the batch stats path are
+/// covered end to end.
 #[test]
 fn server_feed_batch_with_deregistration_between_batches() {
     let window = SlidingWindow::count_based(6);
-    let mut sharded = MonitoringServer::sharded_ita(window, ItaConfig::default(), 4);
-    let mut reference = MonitoringServer::ita(window, ItaConfig::default());
+    let mut sharded = Monitor::new(ShardedItaEngine::new(window, ItaConfig::default(), 4));
+    let mut reference = Monitor::new(ItaEngine::new(window, ItaConfig::default()));
     let make_doc = |id: u64, w: f64| {
         Document::new(
             DocId(id),
@@ -180,32 +180,32 @@ fn server_feed_batch_with_deregistration_between_batches() {
     let mut qids = Vec::new();
     for t in 0..6u32 {
         let q = cts_core::ContinuousQuery::from_weights([(TermId(t % 3), 0.5 + t as f64 * 0.1)], 2);
-        let qa = sharded.register_query(q.clone());
-        assert_eq!(reference.register_query(q), qa);
+        let qa = sharded.register(q.clone());
+        assert_eq!(reference.register(q), qa);
         qids.push(qa);
     }
     let first: Vec<Document> = (0..9u64)
         .map(|i| make_doc(i, 0.1 + (i % 4) as f64 * 0.2))
         .collect();
     assert_eq!(
-        sharded.feed_batch(first.clone()),
-        reference.feed_batch(first)
+        sharded.process_batch(first.clone()),
+        reference.process_batch(first)
     );
     // Deregister between batches; the next batch must route around the gap.
-    assert!(sharded.deregister_query(qids[2]));
-    assert!(reference.deregister_query(qids[2]));
+    assert!(sharded.deregister(qids[2]));
+    assert!(reference.deregister(qids[2]));
     let second: Vec<Document> = (9..20u64)
         .map(|i| make_doc(i, 0.05 + (i % 5) as f64 * 0.15))
         .collect();
     assert_eq!(
-        sharded.feed_batch(second.clone()),
-        reference.feed_batch(second)
+        sharded.process_batch(second.clone()),
+        reference.process_batch(second)
     );
     for &q in qids.iter().filter(|&&q| q != qids[2]) {
-        assert_eq!(sharded.results(q), reference.results(q));
+        assert_eq!(sharded.current_results(q), reference.current_results(q));
     }
-    assert!(sharded.results(qids[2]).is_empty());
-    // The batch stats recorded both bursts on both servers.
+    assert!(sharded.current_results(qids[2]).is_empty());
+    // The batch stats recorded both bursts on both monitors.
     assert_eq!(sharded.stats().events, 20);
     assert_eq!(sharded.stats().batches, 2);
     assert_eq!(sharded.stats().largest_batch, 11);

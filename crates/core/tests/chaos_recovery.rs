@@ -397,7 +397,7 @@ fn window_replay_rebuild_is_not_exact() {
     for seed in 0..20u64 {
         let mut rng = ScriptRng::new(seed);
         let window = SlidingWindow::count_based(10);
-        let mut reference = ItaEngine::term_filtered(window, ItaConfig::default());
+        let mut reference = ItaEngine::new(window, ItaConfig::default());
         let mut clock = Timestamp::ZERO;
         let random_doc = |rng: &mut ScriptRng, id: u64, clock: &mut Timestamp| {
             *clock = clock.advance(Duration::from_millis(rng.below(4) as u64));
@@ -436,7 +436,7 @@ fn window_replay_rebuild_is_not_exact() {
         // The naive rebuild: register everything, replay the surviving
         // window (the order the cold-resurrection path uses — which is why
         // cold recovery only promises exact *results*, not exact state).
-        let mut rebuilt = ItaEngine::term_filtered(window, ItaConfig::default());
+        let mut rebuilt = ItaEngine::new(window, ItaConfig::default());
         rebuilt.register_batch_with_ids(queries.clone());
         let window_docs: Vec<Document> = reference.store_documents().cloned().collect();
         for d in window_docs {
