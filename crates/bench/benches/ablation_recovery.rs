@@ -1,22 +1,18 @@
-//! Ablation: what recovering a faulted shard worker costs, warm vs cold.
+//! Ablation: what recovering a faulted shard worker costs.
 //!
 //! Fixes a sharded engine over a filled count-based window and prices the
-//! two recovery paths of DESIGN.md §10 against each other:
+//! one recovery path of DESIGN.md §10 against a fault-free event:
 //!
-//! * `warm` — the default checkpoint + op-log configuration: a caught panic
-//!   restores the worker's cloned checkpoint and replays the logged
-//!   mutations. Cost scales with engine-state size (the clone) plus log
-//!   length, independent of the window.
-//! * `cold` — `checkpoint_interval: 0`: every caught panic poisons the
-//!   shard, so the coordinator rebuilds it from the durable registry and
-//!   the window mirror — re-registration plus a full window replay. Cost
-//!   scales with window size × resident queries.
+//! * `cold` — a caught panic poisons the shard, so the coordinator rebuilds
+//!   it from the durable registry and the window mirror — re-registration
+//!   plus a full window replay. Cost scales with window size × resident
+//!   queries.
+//! * `none` — the same steady-state event with no fault, the baseline.
 //!
-//! Each measured iteration arms one fault and feeds one document through
-//! the engine, so the criterion number is (event + recovery); the fault-free
-//! `none` arm prices the same event without a fault for the baseline. The
+//! Each measured `cold` iteration arms one fault and feeds one document
+//! through the engine, so the criterion number is (event + recovery). The
 //! engine's own `recovery_micros` counter is printed per arm, isolating
-//! time inside restore/rebuild from the surrounding dispatch.
+//! time inside the rebuild from the surrounding dispatch.
 //!
 //! Run with `cargo bench --bench ablation_recovery`. Set
 //! `CTS_ABLATION_RECOVERY_QUICK=1` for a reduced point (50 queries,
@@ -24,9 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cts_core::{
-    ContinuousQuery, Engine, FaultConfig, ItaConfig, RebalanceConfig, ShardedItaEngine,
-};
+use cts_core::{ContinuousQuery, Engine, ItaConfig, ShardedItaEngine};
 use cts_corpus::{CorpusConfig, DocumentStream, QueryWorkload, StreamConfig, WorkloadConfig};
 use cts_index::SlidingWindow;
 use cts_text::weighting::Scoring;
@@ -78,13 +72,11 @@ fn build_queries(point: &Point) -> Vec<ContinuousQuery> {
 
 /// A 2-shard engine with the workload registered and the window filled
 /// (untimed setup), plus the stream to keep feeding from.
-fn prepared_engine(point: &Point, faults: FaultConfig) -> (ShardedItaEngine, DocumentStream) {
-    let mut engine = ShardedItaEngine::with_faults(
+fn prepared_engine(point: &Point) -> (ShardedItaEngine, DocumentStream) {
+    let mut engine = ShardedItaEngine::new(
         SlidingWindow::count_based(point.window_docs),
         ItaConfig::default(),
         2,
-        RebalanceConfig::default(),
-        faults,
     );
     let mut stream = DocumentStream::new(
         point.corpus,
@@ -102,20 +94,9 @@ fn prepared_engine(point: &Point, faults: FaultConfig) -> (ShardedItaEngine, Doc
 
 fn bench_recovery_paths(c: &mut Criterion) {
     let point = operating_point();
-    let arms: [(&str, Option<FaultConfig>); 3] = [
-        // Baseline: the same steady-state event with no fault at all.
-        ("none", None),
-        ("warm", Some(FaultConfig::default())),
-        (
-            "cold",
-            Some(FaultConfig {
-                checkpoint_interval: 0,
-                ..FaultConfig::default()
-            }),
-        ),
-    ];
-    for (label, faults) in arms {
-        let (mut engine, mut stream) = prepared_engine(&point, faults.unwrap_or_default());
+    // (label, arm a fault every iteration): the fault-free baseline first.
+    for (label, faulty) in [("none", false), ("cold", true)] {
+        let (mut engine, mut stream) = prepared_engine(&point);
         eprintln!(
             "ablation_recovery: {label} ready ({} queries, {}-doc window, 2 shards)",
             point.num_queries, point.window_docs
@@ -127,7 +108,7 @@ fn bench_recovery_paths(c: &mut Criterion) {
             ),
             |b| {
                 b.iter(|| {
-                    if faults.is_some() {
+                    if faulty {
                         // One fault on one shard per iteration: the next
                         // event is applied, the worker panics, and the
                         // measured time includes the recovery.

@@ -69,11 +69,12 @@ pub struct SweepSettings {
     /// a positive value chunks registration into bursts of that size — the
     /// `register_burst` sweep mode, pricing bursty online registration.
     pub register_burst: usize,
-    /// Arm two injected worker faults per shard at the start of the
-    /// measured phase of the sharded arm (the chaos sweep mode): the first
-    /// events each shard processes are applied and then the worker panics,
-    /// so the measured mean includes warm recoveries — and the self-check
-    /// still has to come out exact.
+    /// Arm one injected worker fault per shard at the start of the measured
+    /// phase of the sharded arm (the chaos sweep mode): the first event
+    /// each shard processes is applied and then the worker panics, so the
+    /// measured mean includes one cold resurrection per shard — and the
+    /// self-check still has to come out exact. (A rebuild disarms pending
+    /// faults, so a second armed fault per shard would never fire.)
     pub chaos: bool,
 }
 
@@ -481,16 +482,14 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
             batch,
             // Fill and registration are untimed setup; zero the worker stats
             // so shard_busy_per_event_micros covers exactly the measured
-            // events. In chaos mode, also arm two faults per shard: the
-            // first measured events detonate them, so the measured mean
-            // prices warm recovery and the self-check proves it was exact.
+            // events. In chaos mode, also arm one fault per shard: the
+            // first measured event detonates them, so the measured mean
+            // prices cold recovery and the self-check proves it was exact.
             |engine: &mut ShardedItaEngine| {
                 engine.reset_shard_stats();
                 if settings.chaos {
                     for shard in 0..engine.num_shards() {
-                        for _ in 0..2 {
-                            assert!(engine.inject_fault(shard), "arming chaos fault failed");
-                        }
+                        assert!(engine.inject_fault(shard), "arming chaos fault failed");
                     }
                 }
             },
@@ -525,9 +524,10 @@ pub fn run_cell(settings: &SweepSettings) -> Vec<CellReport> {
         sharded_report.recoveries = Some(fault_stats.recoveries);
         sharded_report.recovery_micros = Some(fault_stats.recovery_micros);
         if settings.chaos {
-            assert!(
-                fault_stats.faults > 0,
-                "chaos mode armed faults but none fired"
+            assert_eq!(
+                fault_stats.faults,
+                engine.num_shards() as u64,
+                "chaos mode: one fault armed per shard must fire exactly once"
             );
             assert_eq!(
                 fault_stats.faults, fault_stats.recoveries,
@@ -869,10 +869,11 @@ mod tests {
         let cells = run_cell(&settings);
         let sharded = &cells[2];
         assert_eq!(sharded.engine, "sharded-ita");
-        // run_cell already asserts faults == recoveries > 0 and a clean
-        // self-check; here we additionally pin down what the JSON records.
+        // run_cell already asserts faults == recoveries == shards and a
+        // clean self-check; here we additionally pin down what the JSON
+        // records.
         assert_eq!(sharded.faults, sharded.recoveries);
-        assert!(sharded.faults.unwrap() >= 4, "2 faults/shard armed");
+        assert_eq!(sharded.faults, Some(2), "1 fault/shard armed");
         assert!(sharded.recovery_micros.unwrap() > 0);
         assert!(sharded.self_check.starts_with("ok ("));
         // The fault-free arms carry no fault counters.

@@ -9,10 +9,9 @@
 //!   a process abort. The `try_*` coordinator methods return these; the
 //!   infallible [`crate::Engine`] trait methods only panic under
 //!   [`FaultPolicy::FailFast`] (or when recovery itself is impossible).
-//! * [`FaultPolicy`] / [`FaultConfig`] — what the coordinator does when a
-//!   shard cannot be recovered in place: block and resurrect it
-//!   synchronously, serve the remaining shards and mark the affected
-//!   queries stale, or fail fast with a typed error.
+//! * [`FaultPolicy`] — what the coordinator does when a shard faults:
+//!   block and resurrect it synchronously, serve the remaining shards and
+//!   mark the affected queries stale, or fail fast with a typed error.
 //! * [`FaultStats`] — counters for faults seen, recoveries performed, time
 //!   spent recovering, events served while degraded, and spawn
 //!   retries/fallbacks at construction.
@@ -23,17 +22,17 @@
 //!   text, which scoring ignores), so chaos scripts stay runnable in
 //!   lockstep.
 //!
-//! The recovery design itself (worker-local checkpoint + op-log replay for
-//! *warm* recovery; coordinator registry + window-mirror replay for *cold*
-//! resurrection) is documented in DESIGN.md §10 and implemented in
-//! [`crate::sharded`].
+//! The recovery design itself — panic isolation in the worker, then cold
+//! resurrection from the coordinator's query registry and window mirror,
+//! with results-exact (not work-counter-exact) recovery — is documented in
+//! DESIGN.md §10 and implemented in [`crate::sharded`].
 
 use std::fmt;
 
 use cts_index::{Document, QueryId};
 
-/// A shard worker panicked and could not be recovered in place: the shard's
-/// engine state is gone until the coordinator cold-resurrects it.
+/// A shard worker panicked: the shard's engine state is gone until the
+/// coordinator cold-resurrects it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFault {
     /// Which shard faulted (coordinator shard index).
@@ -54,8 +53,9 @@ impl std::error::Error for ShardFault {}
 /// panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A worker panicked beyond in-place recovery; the shard is degraded
-    /// until [`crate::ShardedItaEngine::recover_degraded`] resurrects it.
+    /// A worker panicked; the shard is degraded until it is resurrected
+    /// (inline under [`FaultPolicy::BlockUntilRecovered`], otherwise by
+    /// [`crate::ShardedItaEngine::recover_degraded`]).
     ShardFault(ShardFault),
     /// A worker thread is gone (its channel disconnected); the shard is
     /// degraded until resurrected.
@@ -95,12 +95,11 @@ impl From<ShardFault> for EngineError {
 }
 
 /// What the coordinator does when a shard becomes *degraded* — its worker
-/// poisoned (a panic that in-place checkpoint recovery could not undo) or
-/// its thread gone entirely.
+/// poisoned by a caught panic, or its thread gone entirely.
 ///
-/// This policy governs only unrecoverable faults. The common case — a panic
-/// caught by the worker's own guard — is repaired *inside* the worker from
-/// its checkpoint + op log before the reply is sent, under every policy.
+/// A fault always degrades its shard. The only way back is cold
+/// resurrection (re-register the shard's queries, replay the window
+/// mirror), and this policy decides when it runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FaultPolicy {
     /// Surface a typed [`EngineError`] from the `try_*` paths (the
@@ -122,41 +121,17 @@ pub enum FaultPolicy {
     ServeDegraded,
 }
 
-/// Fault-tolerance configuration of the sharded engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultConfig {
-    /// Degraded-mode policy for unrecoverable faults.
-    pub policy: FaultPolicy,
-    /// Worker-local checkpoint cadence, in state mutations (events +
-    /// registration ops). Each worker keeps a clone of its engine refreshed
-    /// every this-many mutations plus a log of the mutations since; a caught
-    /// panic restores the clone and replays the log, which is byte-identical
-    /// to the pre-fault state because every op is deterministic. `0`
-    /// disables warm recovery entirely: any caught panic poisons the shard
-    /// and only cold resurrection (window replay + re-registration, exact
-    /// results but re-derived thresholds) can bring it back.
-    pub checkpoint_interval: usize,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        Self {
-            policy: FaultPolicy::default(),
-            checkpoint_interval: 256,
-        }
-    }
-}
-
 /// Fault and recovery counters of a sharded engine
 /// ([`crate::Engine::fault_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Worker panics and disconnects observed (recovered or not).
+    /// Shards that went down (a worker panic or disconnect took a healthy
+    /// shard to degraded), recovered or not.
     pub faults: u64,
-    /// Recoveries performed: in-place checkpoint restores plus cold shard
-    /// resurrections.
+    /// Cold shard resurrections performed. `faults` equals `recoveries`
+    /// plus the currently degraded shards.
     pub recoveries: u64,
-    /// Total time spent restoring/rebuilding shard state, in microseconds.
+    /// Total time spent rebuilding shard state, in microseconds.
     pub recovery_micros: u64,
     /// Stream events processed while at least one shard was degraded
     /// (only possible under [`FaultPolicy::ServeDegraded`]).
@@ -286,10 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn defaults_block_until_recovered_with_checkpointing_on() {
-        let config = FaultConfig::default();
-        assert_eq!(config.policy, FaultPolicy::BlockUntilRecovered);
-        assert!(config.checkpoint_interval > 0);
+    fn default_policy_blocks_until_recovered() {
+        assert_eq!(FaultPolicy::default(), FaultPolicy::BlockUntilRecovered);
         assert_eq!(FaultStats::default().faults, 0);
     }
 }

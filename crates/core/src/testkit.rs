@@ -23,9 +23,10 @@
 //! * [`run_script`] — the lockstep runner over `N` boxed [`Engine`]s:
 //!   engine 0 is the reference; every op must produce identical query-id
 //!   assignment, identical [`crate::EventOutcome`]s (optional, for engines
-//!   with identical accounting, e.g. ITA vs sharded ITA) and identical
-//!   top-k on every (sampled) live query. Failures are returned as data,
-//!   not panics, so the minimizer can re-run candidate scripts.
+//!   with identical accounting, e.g. ITA vs sharded ITA; after a worker
+//!   fault only arrivals and expirations) and identical top-k on every
+//!   (sampled) live query. Failures are returned as data, not panics, so
+//!   the minimizer can re-run candidate scripts.
 //! * [`assert_script_equivalence`] — the test-facing entry point: generate,
 //!   run, and on divergence shrink the script with [`minimize_script`]
 //!   (greedy delta debugging over fresh engines) and panic with the **seed**
@@ -37,7 +38,7 @@ use std::fmt;
 use cts_index::{DocId, Document, QueryId, Timestamp};
 use cts_text::{TermId, WeightedVector};
 
-use crate::engine::{Engine, IngestEvent};
+use crate::engine::{Engine, EventOutcome, IngestEvent};
 use crate::monitor::OverloadStats;
 use crate::query::ContinuousQuery;
 use crate::service::{Admission, ServiceConfig, StreamService};
@@ -120,8 +121,9 @@ pub enum Op {
     /// [`Engine::inject_fault`] on **every** engine. Engines without fault
     /// injection (the plain reference) treat it as a no-op, which is what
     /// lets a chaos script run in lockstep: the faulting engine must recover
-    /// to byte-identical state while the reference never faulted at all. No
-    /// cross-engine comparison is made for this op.
+    /// to byte-identical results while the reference never faulted at all
+    /// (the testkit's fault contract). No cross-engine comparison is made
+    /// for this op.
     InjectFault {
         /// Pseudo-index of the shard to fault (taken modulo the engine's
         /// shard count).
@@ -502,16 +504,75 @@ impl<E: Engine> Engine for LoopRegister<E> {
     }
 }
 
+/// The faulted-vs-fault-free exactness contract, shared by both lockstep
+/// harnesses ([`run_script`] and [`run_overload_session`]).
+///
+/// Until any engine reports a fault through [`Engine::fault_stats`], event
+/// outcomes must agree in full. A fault is recovered by cold resurrection,
+/// which re-derives the shard's thresholds (DESIGN.md §10), so from the
+/// first fault on only what a subscriber can observe must agree: each
+/// outcome's arrival and expiration count, and — checked after every op
+/// instead of at the sampling cadence — the window size and every live
+/// query's results. Query ids and deregistration answers are compared
+/// either way. Fault-free outcome exactness stays enforced by every suite
+/// that injects no faults.
+#[derive(Debug, Clone, Copy, Default)]
+struct FaultContract {
+    /// Whether any engine has reported a fault yet.
+    faulted: bool,
+}
+
+impl FaultContract {
+    /// Switches to the post-fault contract once `engine` reports a fault.
+    fn observe(&mut self, engine: &dyn Engine) {
+        self.faulted |= engine.fault_stats().is_some_and(|stats| stats.faults > 0);
+    }
+
+    /// [`FaultContract::observe`] over every engine of a lockstep run.
+    fn observe_all(&mut self, engines: &[Box<dyn Engine + '_>]) {
+        for engine in engines {
+            self.observe(engine.as_ref());
+        }
+    }
+
+    /// Whether two outcomes of the same event agree under the contract.
+    fn outcomes_agree(&self, expected: &EventOutcome, actual: &EventOutcome) -> bool {
+        if self.faulted {
+            expected.arrived == actual.arrived && expected.expired == actual.expired
+        } else {
+            expected == actual
+        }
+    }
+
+    /// The first member where two outcome vectors of the same batch
+    /// disagree under the contract (`Some("length")` on a size mismatch).
+    fn batch_divergence(
+        &self,
+        expected: &[EventOutcome],
+        actual: &[EventOutcome],
+    ) -> Option<String> {
+        if expected.len() != actual.len() {
+            return Some("length".to_string());
+        }
+        expected
+            .iter()
+            .zip(actual)
+            .position(|(a, b)| !self.outcomes_agree(a, b))
+            .map(|i| format!("member {i}"))
+    }
+}
+
 /// Knobs of [`run_script`].
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Compare per-event [`crate::EventOutcome`]s across engines. Enable
-    /// for engines with identical work accounting (ITA vs sharded ITA;
-    /// batch vs singles); disable when comparing engines that count work
-    /// differently (ITA vs the naïve baseline).
+    /// Compare per-event [`crate::EventOutcome`]s across engines (under the
+    /// fault contract). Enable for engines with identical work accounting
+    /// (ITA vs sharded ITA; batch vs singles); disable when comparing
+    /// engines that count work differently (ITA vs the naïve baseline).
     pub compare_outcomes: bool,
     /// Compare live-query results every `check_every`-th feed op (outcome
-    /// checks, when enabled, still run on every op). 1 = every feed.
+    /// checks, when enabled, still run on every op; after a fault, results
+    /// are compared after every op). 1 = every feed.
     pub check_every: usize,
     /// Compare every `sample_stride`-th live query at a checkpoint (always
     /// including the first). 1 = all live queries — paper-scale scripts use
@@ -578,8 +639,9 @@ fn check_results<'e>(
 /// Applies `script` to every engine in lockstep (engine 0 is the
 /// reference), returning the first divergence: query-id assignment,
 /// deregistration success, per-event/batch outcomes (when
-/// `options.compare_outcomes`) and (sampled) live-query results must all
-/// agree. The engines must share a window policy; the runner does not
+/// `options.compare_outcomes`, under the fault contract) and (sampled)
+/// live-query results must all agree. The engines must share a window
+/// policy; the runner does not
 /// construct engines — pair it with a factory closure for minimization (see
 /// [`assert_script_equivalence`]). To keep ownership of concrete engines
 /// for post-run assertions (index stats, migration counters), box mutable
@@ -596,6 +658,7 @@ pub fn run_script<'e>(
     );
     let mut live: Vec<QueryId> = Vec::new();
     let mut feeds = 0usize;
+    let mut contract = FaultContract::default();
     for (op_index, op) in script.ops.iter().enumerate() {
         let fail = |message: String| ScriptFailure { op_index, message };
         match op {
@@ -643,10 +706,15 @@ pub fn run_script<'e>(
             }
             Op::Feed(doc) => {
                 feeds += 1;
-                let expected = engines[0].process_document(doc.clone());
-                for candidate in &mut engines[1..] {
-                    let actual = candidate.process_document(doc.clone());
-                    if options.compare_outcomes && actual != expected {
+                let outcomes: Vec<EventOutcome> = engines
+                    .iter_mut()
+                    .map(|engine| engine.process_document(doc.clone()))
+                    .collect();
+                // A fault fired by this very event already relaxes its check.
+                contract.observe_all(engines);
+                let expected = &outcomes[0];
+                for (candidate, actual) in engines[1..].iter().zip(&outcomes[1..]) {
+                    if options.compare_outcomes && !contract.outcomes_agree(expected, actual) {
                         return Err(fail(format!(
                             "outcomes diverged on {}: reference {expected:?}, {} {actual:?}",
                             doc.id,
@@ -657,15 +725,17 @@ pub fn run_script<'e>(
             }
             Op::FeedBatch(docs) => {
                 feeds += 1;
-                let expected = engines[0].process_batch(docs.clone());
-                for candidate in &mut engines[1..] {
-                    let actual = candidate.process_batch(docs.clone());
-                    if options.compare_outcomes && actual != expected {
-                        let at = expected
-                            .iter()
-                            .zip(&actual)
-                            .position(|(a, b)| a != b)
-                            .map_or("length".to_string(), |i| format!("member {i}"));
+                let outcomes: Vec<Vec<EventOutcome>> = engines
+                    .iter_mut()
+                    .map(|engine| engine.process_batch(docs.clone()))
+                    .collect();
+                contract.observe_all(engines);
+                let expected = &outcomes[0];
+                for (candidate, actual) in engines[1..].iter().zip(&outcomes[1..]) {
+                    if !options.compare_outcomes {
+                        break;
+                    }
+                    if let Some(at) = contract.batch_divergence(expected, actual) {
                         return Err(fail(format!(
                             "batch outcomes diverged at {at}: reference {expected:?}, {} {actual:?}",
                             candidate.name()
@@ -693,9 +763,16 @@ pub fn run_script<'e>(
         for engine in engines.iter() {
             engine.check_invariants();
         }
+        contract.observe_all(engines);
         let feed_op = matches!(op, Op::Feed(_) | Op::FeedBatch(_));
-        if feed_op && feeds.is_multiple_of(options.check_every.max(1)) {
-            check_results(engines, &live, options.sample_stride, op_index)?;
+        let sampled = feed_op && feeds.is_multiple_of(options.check_every.max(1));
+        if contract.faulted || sampled {
+            let stride = if contract.faulted {
+                1
+            } else {
+                options.sample_stride
+            };
+            check_results(engines, &live, stride, op_index)?;
             let expected = engines[0].num_valid_documents();
             for candidate in &engines[1..] {
                 let actual = candidate.num_valid_documents();
@@ -833,9 +910,12 @@ pub struct OverloadConfig {
     /// Ingest deadline slack applied to every offered event, in stream-time
     /// milliseconds; `0` offers events without deadlines.
     pub deadline_slack_millis: u64,
-    /// Per-round probability of arming an injected fault on the candidate
-    /// (worker panic + in-place warm recovery; lockstep must hold through
-    /// it).
+    /// Per-round probability of arming an injected fault on the candidate:
+    /// a worker panic and a cold resurrection, through which results must
+    /// stay exact (the testkit's fault contract). Meant for
+    /// [`crate::FaultPolicy::BlockUntilRecovered`] candidates; under
+    /// `ServeDegraded` a fault really degrades a shard, whose stale queries
+    /// cannot match the reference.
     pub inject_fault_probability: f64,
 }
 
@@ -889,8 +969,10 @@ impl OverloadConfig {
 ///   offer time, coalesced registrations at their pump's
 ///   [`Engine::register_batch`] flush, with identical id assignment;
 /// * every event the service reports processed is replayed into the
-///   reference, with identical [`crate::EventOutcome`]s and periodically
-///   identical top-k results on all live queries;
+///   reference, with identical [`crate::EventOutcome`]s (after a fault only
+///   identical arrivals and expirations) and periodically identical window
+///   sizes and top-k results on all live queries — every round once a
+///   fault has happened;
 /// * at final quiescence the identity collapses to
 ///   `offered == accepted + coalesced + shed` and all live results match
 ///   exactly.
@@ -917,8 +999,10 @@ pub fn run_overload_session<C: Engine, R: Engine>(
     let mut pending_ref: Vec<ContinuousQuery> = Vec::new();
     let mut clock = Timestamp::ZERO;
     let mut next_doc = 0u64;
+    let mut contract = FaultContract::default();
 
     let mirror_report = |report: &crate::service::DrainReport,
+                         contract: &FaultContract,
                          reference: &mut R,
                          queued: &mut BTreeMap<u64, Document>,
                          live: &mut Vec<QueryId>,
@@ -949,9 +1033,11 @@ pub fn run_overload_session<C: Engine, R: Engine>(
                 )
             });
             let expected = reference.process_document(doc);
-            assert_eq!(
-                expected, report.outcomes[index],
-                "seed {seed:#x} round {round}: outcome diverged on {doc_id:?}"
+            let actual = &report.outcomes[index];
+            assert!(
+                contract.outcomes_agree(&expected, actual),
+                "seed {seed:#x} round {round}: outcome diverged on {doc_id:?}: \
+                 reference {expected:?}, service {actual:?}"
             );
         }
     };
@@ -1030,8 +1116,10 @@ pub fn run_overload_session<C: Engine, R: Engine>(
         } else {
             service.pump(clock)
         };
+        contract.observe(service.engine());
         mirror_report(
             &report,
+            &contract,
             reference,
             &mut queued,
             &mut live,
@@ -1039,7 +1127,12 @@ pub fn run_overload_session<C: Engine, R: Engine>(
             round,
         );
         service.check_accounting();
-        if round % 8 == 0 {
+        if contract.faulted || round % 8 == 0 {
+            assert_eq!(
+                service.engine().num_valid_documents(),
+                reference.num_valid_documents(),
+                "seed {seed:#x} round {round}: window sizes diverged"
+            );
             for &query in &live {
                 assert_eq!(
                     service.results(query),
@@ -1051,8 +1144,10 @@ pub fn run_overload_session<C: Engine, R: Engine>(
     }
     // Quiesce: drain everything still queued and settle the ledger.
     let report = service.pump(clock);
+    contract.observe(service.engine());
     mirror_report(
         &report,
+        &contract,
         reference,
         &mut queued,
         &mut live,

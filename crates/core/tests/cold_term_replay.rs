@@ -1,8 +1,11 @@
 //! Differential suite pinning the determinism of the cold-shadow-term
-//! lifecycle under warm recovery: registration bursts mint cold terms,
-//! poison documents and injected faults kill shard workers mid-event, and
-//! the supervised resurrection replays the checkpoint + op log — all while
-//! staying in byte-lockstep with a fault-free single-shard reference.
+//! lifecycle (cold terms warmed on first use) under fault recovery:
+//! registration bursts mint cold terms, poison documents and injected
+//! faults kill shard workers mid-event, and the supervised cold
+//! resurrection re-registers queries and replays the window mirror — all
+//! while staying in lockstep with a fault-free single-shard reference
+//! under the testkit's fault contract (exact results, exact outcomes until
+//! the first fault).
 //!
 //! This is the suite CI runs with `--features invariant-checks`, turning on
 //! the per-op structural audits in [`cts_core::testkit::run_script`]: after
@@ -27,8 +30,8 @@ fn pair(window: SlidingWindow, shards: usize) -> Vec<Box<dyn Engine>> {
 fn cold_terms_survive_warm_replay_across_shard_counts() {
     // The chaos shape with the burst knobs turned up: bursts mint batches of
     // cold terms, and the elevated fault rate forces each shard through
-    // several checkpoint + op-log replays per script. Lazy (reference) and
-    // sharded engines must agree byte-for-byte through every recovery.
+    // several cold resurrections per script. Lazy (reference) and sharded
+    // engines must report identical results through every recovery.
     let config = ScriptConfig {
         events: 220,
         burst_register_probability: 0.18,

@@ -3,7 +3,7 @@
 //! unknown-query deregistration, typed `try_*` errors, empty batches,
 //! id minting under interleaved churn, and the shutdown stat drain.
 
-use cts_core::{ContinuousQuery, Engine, EngineError, FaultConfig, ItaConfig, ShardedItaEngine};
+use cts_core::{ContinuousQuery, Engine, EngineError, FaultPolicy, ItaConfig, ShardedItaEngine};
 use cts_index::{DocId, Document, QueryId, SlidingWindow, Timestamp};
 use cts_text::{TermId, WeightedVector};
 
@@ -119,7 +119,7 @@ fn shutdown_returns_the_final_aggregate_stats() {
         ItaConfig::default(),
         3,
         Default::default(),
-        FaultConfig::default(),
+        FaultPolicy::default(),
     );
     sharded.register(query(0));
     for i in 0..12u64 {
